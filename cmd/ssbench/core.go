@@ -446,44 +446,7 @@ func prunedCases(setup experiments.Setup, nq int) []struct {
 				}
 			}
 		}
-		// The affinity twins: a burst batch — a few query shapes, each
-		// repeated, submitted maximally interleaved — over the routed
-		// fleet with the affinity-grouped scheduler on (default) and off.
-		// Affinity re-sorts the interleaving into per-shard-set runs, so
-		// one worker revisits the same shards back to back with warm
-		// caches; two outer workers make the grouping observable.
-		// Per-query answers are identical either way.
-		shapes := make([]core.Query, 4)
-		for i := range shapes {
-			shapes[i] = se.Prepare(docs[rng.Intn(len(docs))])
-		}
-		burst := make([]core.Query, 8*len(shapes))
-		for i := range burst {
-			burst[i] = shapes[i%len(shapes)]
-		}
-		batch := func(opts *core.Options) func(b *testing.B) {
-			return func(b *testing.B) {
-				se.SelectBatch(burst, 0.5, core.SF, opts, 2)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, br := range se.SelectBatch(burst, 0.5, core.SF, opts, 2) {
-						if br.Err != nil {
-							b.Fatal(br.Err)
-						}
-					}
-				}
-			}
-		}
 		cases = append(cases,
-			struct {
-				name string
-				fn   func(b *testing.B)
-			}{fmt.Sprintf("sharded-pruned/batch/sf/tau=0.5/shards=%d/affinity=on", k), batch(nil)},
-			struct {
-				name string
-				fn   func(b *testing.B)
-			}{fmt.Sprintf("sharded-pruned/batch/sf/tau=0.5/shards=%d/affinity=off", k), batch(&core.Options{NoBatchAffinity: true})},
 			struct {
 				name string
 				fn   func(b *testing.B)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/collection"
@@ -15,6 +16,16 @@ import (
 // buffers — must come from the scratch.
 const warmAllocBudget = 1.0
 
+// pinOneProc runs the rest of the test at GOMAXPROCS 1, the setting
+// testing.AllocsPerRun measures at. sync.Pool keeps a private slot per
+// P, so a warm-up at a higher setting can park pooled scratch on a P
+// the measurement never runs on — which P depends on scheduling, and
+// the stranded objects are reallocated inside the measured runs.
+func pinOneProc(t testing.TB) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestWarmQueryAllocations is the tentpole's regression proof: after a
 // warm-up pass that sizes the pooled scratch, every algorithm must answer
 // MemStore selection queries within warmAllocBudget allocations.
@@ -22,6 +33,7 @@ func TestWarmQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
+	pinOneProc(t)
 	e := buildEngine(t, 5000, 3, 8, Config{NoRelational: true})
 	rng := rand.New(rand.NewSource(17))
 	queries := make([]Query, 8)
@@ -64,6 +76,7 @@ func TestWarmKernelAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
+	pinOneProc(t)
 	for _, cfg := range []struct {
 		label string
 		cfg   Config
@@ -106,6 +119,7 @@ func TestWarmTopKAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
+	pinOneProc(t)
 	e := buildEngine(t, 5000, 3, 8, Config{NoHashes: true, NoRelational: true})
 	rng := rand.New(rand.NewSource(18))
 	queries := make([]Query, 8)
@@ -142,6 +156,7 @@ func TestWarmShardedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
+	pinOneProc(t)
 	docs := randomDocs(5000, 3, 8)
 	for _, K := range []int{1, 4} {
 		se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, K, Config{NoRelational: true})
@@ -171,5 +186,43 @@ func TestWarmShardedAllocations(t *testing.T) {
 			}
 		}
 		se.Close()
+	}
+}
+
+// TestLiveWarmShardedAllocations holds a compacted 4-shard LiveEngine
+// to the static fleet's warm budget (K result copies plus the dispatch
+// closure, the merged result slice and one spare): the live fan-out runs
+// on the engine's executor with pooled fan buffers, like runFan.
+func TestLiveWarmShardedAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are meaningless")
+	}
+	pinOneProc(t)
+	const K = 4
+	corpus := randomCorpus(5000, 3, 8)
+	le := BuildLive(corpus, liveTestTK, LiveConfig{Config: Config{NoRelational: true}, NoBackground: true, Shards: K})
+	defer le.Close()
+	queries := make([]LiveQuery, 8)
+	for i := range queries {
+		queries[i] = le.Prepare(corpus[i*13])
+	}
+	budget := float64(K) + 3
+	for _, alg := range []Algorithm{SF, Hybrid} {
+		for _, lq := range queries {
+			if _, _, err := le.Select(lq, 0.6, alg, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		avg := testing.AllocsPerRun(4*len(queries), func() {
+			lq := queries[i%len(queries)]
+			i++
+			if _, _, err := le.Select(lq, 0.6, alg, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > budget {
+			t.Errorf("K=%d %v: %.2f allocs per warm live sharded query, budget %.0f", K, alg, avg, budget)
+		}
 	}
 }

@@ -88,13 +88,6 @@ type Options struct {
 	// plain first-moment Σ idf² overlap estimate. Ablation knob for the
 	// mid-flight top-k recheck; answers are bitwise-identical either way.
 	NoSecondMoment bool
-	// NoBatchAffinity makes SelectBatch on a routed ShardedEngine hand
-	// workers queries in plain submission order instead of grouping
-	// queries that route to the same shard set onto the same worker.
-	// Ablation twin for the batch scheduler; per-query results are
-	// identical either way (results are always indexed by submission
-	// position).
-	NoBatchAffinity bool
 }
 
 // Result is one qualifying set with its exact IDF score.

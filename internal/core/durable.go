@@ -78,8 +78,12 @@ type ckptCapture struct {
 // store): records at or below it are not re-checkpointed. Must be
 // called after recovery replay and before concurrent mutations; if the
 // WALSink also implements io.Closer, Close closes it after the
-// background goroutines stop.
+// background goroutines stop. It takes compactMu as well as mu: a
+// background compaction may already be running and reads the sinks
+// under compactMu alone.
 func (le *LiveEngine) SetDurable(w WALSink, cp CheckpointSink, ckptSeq uint64) {
+	le.compactMu.Lock()
+	defer le.compactMu.Unlock()
 	le.mu.Lock()
 	defer le.mu.Unlock()
 	le.wal = w

@@ -3,15 +3,14 @@
 // single-engine execution (also the per-shard and per-segment unit of
 // the fan-outs), ShardedEngine.runFan is the scatter-gather execution,
 // LiveEngine.runLivePlan the snapshot-pinned one, and runBatch the one
-// inter-query scheduler — affinity-grouped on routed fleets so queries
-// landing on the same shards run back to back on the same worker.
+// inter-query scheduler, draining every batch in submission order.
 package core
 
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -123,7 +122,7 @@ func mergeRanked(out []Result, p *queryPlan) []Result {
 //ssvet:hot
 func (se *ShardedEngine) runFan(ctx context.Context, q Query, p queryPlan) ([]Result, Stats, error) {
 	start := time.Now()
-	fb := se.getBuffers()
+	fb := getFanBuffers(&se.buffers, len(se.shards))
 	act, recheck := se.routeShards(fb, q, &p)
 	if len(act) > 0 {
 		//ssvet:coldalloc the executor's one pooled-dispatch closure per fan-out
@@ -154,9 +153,10 @@ func (se *ShardedEngine) runFan(ctx context.Context, q Query, p queryPlan) ([]Re
 	}
 	var out []Result
 	if err == nil {
-		out = mergeRanked(se.mergeConcat(fb, total), &p)
+		se.merged.Add(uint64(total))
+		out = mergeRanked(concatResults(fb.res, total), &p)
 	}
-	se.putBuffers(fb)
+	putFanBuffers(&se.buffers, fb)
 	stats.Elapsed = time.Since(start)
 	se.m.ObserveQuery(stats.Elapsed, stats.ElementsRead, err)
 	if err != nil {
@@ -167,9 +167,11 @@ func (se *ShardedEngine) runFan(ctx context.Context, q Query, p queryPlan) ([]Re
 
 // runLivePlan executes a validated plan against a snapshot-pinned
 // LiveQuery: one shard runs inline (byte-for-byte the monolithic path —
-// no sharedTau), a fleet fans out on plain goroutines with one bound
-// circulating across all shards, and the merge applies the plan's
+// no sharedTau), a fleet fans out on the engine's executor with one
+// bound circulating across all shards, and the merge applies the plan's
 // discipline over the concatenated, tombstone-filtered answers.
+//
+//ssvet:hot
 func (le *LiveEngine) runLivePlan(ctx context.Context, lq LiveQuery, p queryPlan) ([]Result, Stats, error) {
 	start := time.Now()
 	del := le.del.Load()
@@ -179,19 +181,26 @@ func (le *LiveEngine) runLivePlan(ctx context.Context, lq LiveQuery, p queryPlan
 	if len(lq.snap.shards) == 1 {
 		out, stats, err = le.liveShardRun(ctx, lq, 0, p, del, nil)
 	} else {
+		fb := getFanBuffers(&le.fans, len(lq.snap.shards))
 		var shared *sharedTau
 		if p.kind == planTopK {
 			// One bound for the whole fleet: every shard prunes against
 			// the best k-th-score lower bound any shard established.
-			shared = new(sharedTau)
+			shared = &fb.shared
 		}
-		outs, sts, errs := le.liveFan(func(si int) ([]Result, Stats, error) {
-			return le.liveShardRun(ctx, lq, si, p, del, shared)
+		//ssvet:coldalloc the executor's one pooled-dispatch closure per fan-out
+		le.exec.fan(len(lq.snap.shards), func(si int) {
+			fb.res[si], fb.sts[si], fb.errs[si] = le.liveShardRun(ctx, lq, si, p, del, shared)
 		})
-		out, stats, err = mergeLiveFan(outs, sts, errs)
-		if p.kind == planSelect {
-			sortResults(out)
+		var total int
+		total, stats, err = fb.gather()
+		if err == nil {
+			out = concatResults(fb.res, total)
+			if p.kind == planSelect {
+				sortResults(out)
+			}
 		}
+		putFanBuffers(&le.fans, fb)
 	}
 	stats.Elapsed = time.Since(start)
 	le.m.ObserveQuery(stats.Elapsed, stats.ElementsRead, err)
@@ -299,151 +308,24 @@ func normWorkers(workers int) int {
 }
 
 // runBatch drains a batch over a bounded worker pool — the one
-// inter-query scheduler behind every shape's SelectBatchCtx. The
-// execution order is perm (nil: submission order) sliced into groups by
-// starts (nil: one query per group); workers claim whole groups under
-// the mutex, so affinity-grouped queries run back to back on a single
-// worker. out is indexed by original query position regardless of the
-// execution order.
-func runBatch(n, workers int, perm, starts []int32, fn func(qi int) BatchResult) []BatchResult {
+// inter-query scheduler behind every shape's SelectBatchCtx. Workers
+// claim queries in submission order; out[qi] holds query qi's outcome.
+func runBatch(n, workers int, fn func(qi int) BatchResult) []BatchResult {
 	out := make([]BatchResult, n)
-	if n == 0 {
-		return out
+	if workers > n {
+		workers = n
 	}
-	if starts != nil && workers > 1 {
-		// Split oversized affinity groups into bounded chunks: whole-group
-		// claiming keeps shard locality, but a group much larger than a
-		// worker's fair share would serialize its tail on one worker while
-		// the others sit idle.
-		maxChunk := (n + 4*workers - 1) / (4 * workers)
-		refined := make([]int32, 0, len(starts))
-		for g := 0; g+1 < len(starts); g++ {
-			for s := starts[g]; s < starts[g+1]; s += int32(maxChunk) {
-				refined = append(refined, s)
-			}
-		}
-		starts = append(refined, starts[len(starts)-1])
-	}
-	groups := n
-	if starts != nil {
-		groups = len(starts) - 1
-	}
-	if workers > groups {
-		workers = groups
-	}
-	var next int
-	var mu sync.Mutex
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				g := next
-				next++
-				mu.Unlock()
-				if g >= groups {
-					return
-				}
-				lo, hi := g, g+1
-				if starts != nil {
-					lo, hi = int(starts[g]), int(starts[g+1])
-				}
-				for j := lo; j < hi; j++ {
-					qi := j
-					if perm != nil {
-						qi = int(perm[j])
-					}
-					out[qi] = fn(qi)
-				}
+			for qi := int(next.Add(1) - 1); qi < n; qi = int(next.Add(1) - 1) {
+				out[qi] = fn(qi)
 			}
 		}()
 	}
 	wg.Wait()
 	return out
-}
-
-// affinityKey fingerprints which shards a query's fan-out touches: bit
-// sh mod 64 is set when shard sh survives the route stage. Queries with
-// equal keys hit the same shard engines, so running them consecutively
-// on one worker reuses those shards' warm scratch pools and caches.
-// Fleets past 64 shards fold onto the 64 bits — grouping quality
-// decays, correctness is unaffected (the key only orders work).
-func (se *ShardedEngine) affinityKey(q Query, p *queryPlan) uint64 {
-	var key uint64
-	for sh := range se.shards {
-		sum := se.sums[sh]
-		if shardActive(sum, shardBound(sum, q, !p.opts.NoSecondMoment), p) {
-			key |= 1 << (uint(sh) & 63)
-		}
-	}
-	return key
-}
-
-// affinityInsertionMax bounds affinityOrder's insertion sort, mirroring
-// sortResultsInsertionMax: small batches dominate and stay closure-free.
-const affinityInsertionMax = 64
-
-// affinityOrder computes the deterministic batch execution order:
-// query indices stably sorted by (affinity key, submission index) and
-// sliced into one group per distinct key. The order depends only on the
-// queries, τ, the options and the fleet's summaries — never on worker
-// timing — so repeated calls schedule identically. nil, nil (submission
-// order, one query per group) when the fleet is unrouted, affinity is
-// disabled, or the batch is trivial.
-func (se *ShardedEngine) affinityOrder(queries []Query, tau float64, alg Algorithm, opts *Options) (perm, starts []int32) {
-	if se.sums == nil || len(queries) < 2 || (opts != nil && opts.NoBatchAffinity) {
-		return nil, nil
-	}
-	// Repeated queries are the textbook affinity batch, so memoize keys
-	// by token-slice identity: a re-submitted Prepare result shares its
-	// backing array and skips the per-shard bound pass entirely.
-	type tokID struct {
-		head *QueryToken
-		n    int
-	}
-	seen := make(map[tokID]uint64, len(queries))
-	keys := make([]uint64, len(queries))
-	for i := range queries {
-		var id tokID
-		if n := len(queries[i].Tokens); n > 0 {
-			id = tokID{&queries[i].Tokens[0], n}
-			if k, ok := seen[id]; ok {
-				keys[i] = k
-				continue
-			}
-		}
-		p, err := selectPlan(queries[i], tau, alg, opts)
-		if err != nil {
-			continue // invalid queries group under key 0; they fail identically wherever they run
-		}
-		keys[i] = se.affinityKey(queries[i], &p)
-		if id.head != nil {
-			seen[id] = keys[i]
-		}
-	}
-	perm = make([]int32, len(queries))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	if len(perm) <= affinityInsertionMax {
-		// Insertion sort on (key, submission index): already stable, and
-		// for the common modest batch it avoids sort.SliceStable's
-		// reflection setup — ordering must stay cheaper than the queries.
-		for i := 1; i < len(perm); i++ {
-			for j := i; j > 0 && keys[perm[j]] < keys[perm[j-1]]; j-- {
-				perm[j], perm[j-1] = perm[j-1], perm[j]
-			}
-		}
-	} else {
-		sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
-	}
-	starts = make([]int32, 1, len(queries)+1)
-	for j := 1; j < len(perm); j++ {
-		if keys[perm[j]] != keys[perm[j-1]] {
-			starts = append(starts, int32(j))
-		}
-	}
-	return perm, append(starts, int32(len(perm)))
 }

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -195,6 +196,10 @@ type LiveEngine struct {
 	cfg     LiveConfig
 	m       *metrics.Registry
 	nShards int
+	// exec fans a query out over the shards; nil when nShards is 1.
+	// fans pools the per-query fan-out buffers (*fanBuffers).
+	exec *executor
+	fans sync.Pool
 
 	// mu guards the document log, the global df table, liveN, the
 	// mutation counter, and snapshot publication. Queries take no lock;
@@ -221,8 +226,9 @@ type LiveEngine struct {
 	tombs atomic.Int64 // tombstoned docs still present in some segment or the memtable
 
 	// Durability sinks (nil on a non-durable engine). Set once by
-	// SetDurable under mu before concurrent mutations; appends happen
-	// under mu, WaitDurable and checkpoints outside it. lastCkptSeq is
+	// SetDurable under compactMu and mu before concurrent mutations;
+	// appends happen under mu, WaitDurable and checkpoints outside it
+	// (compactions read both sinks under compactMu). lastCkptSeq is
 	// the WAL sequence the last successful checkpoint covered (written
 	// under compactMu, read under mu by the kick path).
 	wal         WALSink
@@ -273,6 +279,9 @@ func NewLive(tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngine {
 		compactCh: make(chan struct{}, 1),
 		closeCh:   make(chan struct{}),
 	}
+	if cfg.Shards > 1 {
+		le.exec = newExecutor(runtime.GOMAXPROCS(0))
+	}
 	le.snap.Store(&liveSnapshot{shards: make([]liveShard, cfg.Shards)})
 	le.m.SetLiveGaugesFunc(le.gauges)
 	le.m.SetShardGaugesFunc(func() metrics.ShardGauges {
@@ -302,15 +311,19 @@ func BuildLive(corpus []string, tk tokenize.Tokenizer, cfg LiveConfig) *LiveEngi
 	return le
 }
 
-// Close stops the background compaction goroutine, rejects further
-// mutations and — on a durable engine — flushes and closes the WAL.
-// Queries against the final snapshot keep working.
+// Close stops the background compaction goroutine and the fan-out
+// workers, rejects further mutations and — on a durable engine —
+// flushes and closes the WAL. Queries against the final snapshot keep
+// working; their fan-out runs on the calling goroutine.
 func (le *LiveEngine) Close() {
 	if !le.markClosed() {
 		return
 	}
 	close(le.closeCh)
 	le.wg.Wait()
+	if le.exec != nil {
+		le.exec.close()
+	}
 	le.closeWAL()
 }
 
@@ -787,49 +800,6 @@ func (le *LiveEngine) SelectCtx(ctx context.Context, lq LiveQuery, tau float64, 
 	return le.runLivePlan(ctx, lq, p)
 }
 
-// liveFan runs fn(shard) for every shard concurrently. Live mutation
-// fan-out uses plain goroutines rather than the static executor: the
-// snapshot pins its own segment engines, and the K > 1 live path trades
-// the strict per-query allocation budget for partition concurrency.
-func (le *LiveEngine) liveFan(fn func(si int) ([]Result, Stats, error)) ([][]Result, []Stats, []error) {
-	k := le.nShards
-	outs := make([][]Result, k)
-	sts := make([]Stats, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for si := 0; si < k; si++ {
-		go func(si int) {
-			defer wg.Done()
-			outs[si], sts[si], errs[si] = fn(si)
-		}(si)
-	}
-	wg.Wait()
-	return outs, sts, errs
-}
-
-// mergeLiveFan folds the per-shard outcomes: summed stats, the first
-// shard error in shard order, and the concatenated (unsorted) results.
-func mergeLiveFan(outs [][]Result, sts []Stats, errs []error) ([]Result, Stats, error) {
-	var stats Stats
-	total := 0
-	for si := range sts {
-		addStats(&stats, sts[si])
-		if errs[si] != nil {
-			return nil, stats, errs[si]
-		}
-		total += len(outs[si])
-	}
-	if total == 0 {
-		return nil, stats, nil
-	}
-	out := make([]Result, 0, total)
-	for _, r := range outs {
-		out = append(out, r...)
-	}
-	return out, stats, nil
-}
-
 // SelectTopK returns the k highest-scoring live documents (alg ∈ {Naive,
 // INRA, SF}), sorted by descending score with ties broken by ascending
 // id. It is SelectTopKCtx with a background context.
@@ -860,7 +830,7 @@ func (le *LiveEngine) SelectBatch(queries []LiveQuery, tau float64, alg Algorith
 // SelectBatchCtx is SelectBatch under a context; cancellation stops
 // in-flight queries mid-scan and fails the remainder immediately.
 func (le *LiveEngine) SelectBatchCtx(ctx context.Context, queries []LiveQuery, tau float64, alg Algorithm, opts *Options, workers int) []BatchResult {
-	return runBatch(len(queries), normWorkers(workers), nil, nil, func(qi int) BatchResult {
+	return runBatch(len(queries), normWorkers(workers), func(qi int) BatchResult {
 		res, st, err := le.SelectCtx(ctx, queries[qi], tau, alg, opts)
 		return BatchResult{Results: res, Stats: st, Err: err}
 	})

@@ -349,33 +349,38 @@ func TestLiveUpsert(t *testing.T) {
 	}
 }
 
-// TestLiveErrors covers the mutation-API error surface.
+// TestLiveErrors covers the mutation-API error surface, on one shard
+// and on a fleet whose fan-out executor Close stops.
 func TestLiveErrors(t *testing.T) {
-	le := NewLive(liveTestTK, LiveConfig{NoBackground: true})
-	if _, err := le.Insert(""); err != ErrNoTokens {
-		t.Fatalf("empty insert: %v", err)
-	}
-	id, err := le.Insert("hello world")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := le.Select(le.Prepare("zzzzz"), 0.5, SF, nil); err != ErrEmptyQuery {
-		t.Fatalf("unknown-token query: %v", err)
-	}
-	if _, _, err := le.Select(le.Prepare("hello"), 1.5, SF, nil); err != ErrBadThreshold {
-		t.Fatalf("bad tau: %v", err)
-	}
-	le.Close()
-	le.Close() // idempotent
-	if _, err := le.Insert("more text"); err != ErrClosed {
-		t.Fatalf("insert after close: %v", err)
-	}
-	if le.Delete(id) {
-		t.Fatal("delete after close succeeded")
-	}
-	// Queries keep working after Close.
-	if res, _, err := le.Select(le.Prepare("hello world"), 0.9, SF, nil); err != nil || len(res) != 1 {
-		t.Fatalf("query after close: res=%v err=%v", res, err)
+	for _, shards := range []int{1, 2} {
+		le := NewLive(liveTestTK, LiveConfig{NoBackground: true, Shards: shards})
+		if _, err := le.Insert(""); err != ErrNoTokens {
+			t.Fatalf("empty insert: %v", err)
+		}
+		id, err := le.Insert("hello world")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := le.Select(le.Prepare("zzzzz"), 0.5, SF, nil); err != ErrEmptyQuery {
+			t.Fatalf("unknown-token query: %v", err)
+		}
+		if _, _, err := le.Select(le.Prepare("hello"), 1.5, SF, nil); err != ErrBadThreshold {
+			t.Fatalf("bad tau: %v", err)
+		}
+		le.Close()
+		le.Close() // idempotent
+		if _, err := le.Insert("more text"); err != ErrClosed {
+			t.Fatalf("insert after close: %v", err)
+		}
+		if le.Delete(id) {
+			t.Fatal("delete after close succeeded")
+		}
+		// Queries keep working after Close.
+		for i := 0; i < 3; i++ {
+			if res, _, err := le.Select(le.Prepare("hello world"), 0.9, SF, nil); err != nil || len(res) != 1 {
+				t.Fatalf("shards=%d: query after close: res=%v err=%v", shards, res, err)
+			}
+		}
 	}
 }
 
@@ -503,6 +508,7 @@ func TestLiveWarmAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
+	pinOneProc(t)
 	corpus := randomCorpus(5000, 3, 8)
 	le := BuildLive(corpus, liveTestTK, LiveConfig{Config: Config{NoRelational: true}, NoBackground: true})
 	defer le.Close()

@@ -5,8 +5,7 @@
 //	plan    validate τ/k/Options once, resolve the algorithm and
 //	        compute the Theorem 1 length window (this file);
 //	route   pick the shard set and execution order from the per-shard
-//	        route.Summary bounds (this file); batch queries are
-//	        additionally grouped by shard affinity (exec.go);
+//	        route.Summary bounds (this file);
 //	execute run the planned algorithm per shard/segment, ctx-polled,
 //	        on the engine's pooled scratch (exec.go);
 //	merge   fold the answers — concat + ascending-id sort for

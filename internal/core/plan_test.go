@@ -122,90 +122,6 @@ func TestErrorPathStatsContract(t *testing.T) {
 	}
 }
 
-// TestBatchAffinityDeterminism pins the affinity-batched scheduler of a
-// routed fleet: the execution order is a deterministic function of the
-// batch (equal shard-affinity keys contiguous, submission order inside
-// a group, sentinel-delimited groups), and the answers are positionally
-// identical to both the affinity-off twin and one-at-a-time execution.
-func TestBatchAffinityDeterminism(t *testing.T) {
-	docs := pipelineDocs(300, 7, 6)
-	se := BuildSharded(tokenize.QGramTokenizer{Q: 3}, docs, true, 4, Config{})
-	defer se.Close()
-
-	queries := make([]Query, 24)
-	for i := range queries {
-		queries[i] = se.Prepare(docs[(i*13)%len(docs)])
-	}
-	const tau = 0.6
-
-	perm, starts := se.affinityOrder(queries, tau, SF, nil)
-	if perm == nil || starts == nil {
-		t.Fatal("affinityOrder declined to order a routed fleet's batch")
-	}
-	perm2, starts2 := se.affinityOrder(queries, tau, SF, nil)
-	if !reflect.DeepEqual(perm, perm2) || !reflect.DeepEqual(starts, starts2) {
-		t.Fatal("affinityOrder is not deterministic across calls")
-	}
-	if starts[0] != 0 || int(starts[len(starts)-1]) != len(queries) {
-		t.Fatalf("starts sentinels = %v, want 0 .. %d", starts, len(queries))
-	}
-	seen := make([]bool, len(queries))
-	for _, p := range perm {
-		if seen[p] {
-			t.Fatalf("perm %v is not a permutation", perm)
-		}
-		seen[p] = true
-	}
-	keys := make([]uint64, len(queries))
-	for i := range queries {
-		p, err := selectPlan(queries[i], tau, SF, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys[i] = se.affinityKey(queries[i], &p)
-	}
-	var prevKey uint64
-	for g := 0; g+1 < len(starts); g++ {
-		lo, hi := int(starts[g]), int(starts[g+1])
-		key := keys[perm[lo]]
-		if g > 0 && key <= prevKey {
-			t.Fatalf("group %d key %#x not above predecessor %#x", g, key, prevKey)
-		}
-		prevKey = key
-		for j := lo + 1; j < hi; j++ {
-			if keys[perm[j]] != key {
-				t.Fatalf("group %d mixes keys %#x and %#x", g, key, keys[perm[j]])
-			}
-			if perm[j] <= perm[j-1] {
-				t.Fatalf("group %d breaks submission order: %v", g, perm[lo:hi])
-			}
-		}
-	}
-
-	on := se.SelectBatch(queries, tau, SF, nil, 4)
-	off := se.SelectBatch(queries, tau, SF, &Options{NoBatchAffinity: true}, 4)
-	for i := range queries {
-		direct, _, err := se.Select(queries[i], tau, SF, nil)
-		if err != nil || on[i].Err != nil || off[i].Err != nil {
-			t.Fatalf("query %d errored: %v / %v / %v", i, err, on[i].Err, off[i].Err)
-		}
-		if !reflect.DeepEqual(on[i].Results, direct) {
-			t.Errorf("query %d: affinity-on batch diverges from direct execution", i)
-		}
-		if !reflect.DeepEqual(off[i].Results, direct) {
-			t.Errorf("query %d: affinity-off batch diverges from direct execution", i)
-		}
-	}
-
-	// The ablation knob and trivial batches fall back to submission order.
-	if p, s := se.affinityOrder(queries, tau, SF, &Options{NoBatchAffinity: true}); p != nil || s != nil {
-		t.Error("NoBatchAffinity still produced an affinity order")
-	}
-	if p, s := se.affinityOrder(queries[:1], tau, SF, nil); p != nil || s != nil {
-		t.Error("single-query batch produced an affinity order")
-	}
-}
-
 // TestSecondMomentBound pins the Cauchy–Schwarz refinement: on a shard
 // of short documents the refined summary bound is strictly below the
 // first-moment bound (never above it anywhere), Summarize reports the

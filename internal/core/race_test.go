@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/collection"
@@ -140,4 +141,37 @@ func TestRaceFileStoreBatch(t *testing.T) {
 		}(d)
 	}
 	wg.Wait()
+}
+
+// countingWAL is a WALSink that only numbers its records.
+type countingWAL struct{ seq atomic.Uint64 }
+
+func (w *countingWAL) AppendInsert(string) uint64 { return w.seq.Add(1) }
+func (w *countingWAL) AppendDelete(uint32) uint64 { return w.seq.Add(1) }
+func (w *countingWAL) WaitDurable(uint64) error   { return nil }
+func (w *countingWAL) Seq() uint64                { return w.seq.Load() }
+
+// discardCheckpoints is a CheckpointSink that persists nothing.
+type discardCheckpoints struct{}
+
+func (discardCheckpoints) Checkpoint(*CheckpointState) error { return nil }
+
+// TestRaceSetDurableDuringCompaction attaches the durability sinks while
+// a background compaction the engine has just kicked is running — the
+// order a durable open uses, which starts the compaction goroutine
+// before recovery ends in SetDurable. The compaction reads the sinks
+// under compactMu, so SetDurable must hold it too.
+func TestRaceSetDurableDuringCompaction(t *testing.T) {
+	corpus := randomCorpus(64, 7, 8)
+	for round := 0; round < 8; round++ {
+		le := NewLive(liveTestTK, LiveConfig{Config: Config{NoRelational: true}, FlushThreshold: len(corpus)})
+		for _, s := range corpus {
+			le.Insert(s) //nolint:errcheck // the last insert fills the memtable and kicks a compaction
+		}
+		le.SetDurable(&countingWAL{}, discardCheckpoints{}, 0)
+		if _, err := le.Insert(corpus[0]); err != nil {
+			t.Fatal(err)
+		}
+		le.Close()
+	}
 }

@@ -225,8 +225,8 @@ func newSharded(engines []*Engine, ids [][]collection.SetID, assign []int32, sum
 	return se
 }
 
-// Close shuts the executor's workers down. The engine must not be
-// queried after Close.
+// Close shuts the executor's workers down. Later queries still answer,
+// fanning out on the calling goroutine alone.
 func (se *ShardedEngine) Close() { se.exec.close() }
 
 // NumShards reports the fleet width.
@@ -299,11 +299,11 @@ type fanBuffers struct {
 	shared sharedTau
 }
 
-func (se *ShardedEngine) getBuffers() *fanBuffers {
-	if v := se.buffers.Get(); v != nil {
+// getFanBuffers takes a k-shard fanBuffers from pool, or makes one.
+func getFanBuffers(pool *sync.Pool, k int) *fanBuffers {
+	if v := pool.Get(); v != nil {
 		return v.(*fanBuffers)
 	}
-	k := len(se.shards)
 	return &fanBuffers{
 		res:    make([][]Result, k),
 		sts:    make([]Stats, k),
@@ -313,8 +313,9 @@ func (se *ShardedEngine) getBuffers() *fanBuffers {
 	}
 }
 
-// putBuffers clears the slots (dropping result references) and pools.
-func (se *ShardedEngine) putBuffers(fb *fanBuffers) {
+// putFanBuffers clears the slots (dropping result references) and
+// returns fb to pool.
+func putFanBuffers(pool *sync.Pool, fb *fanBuffers) {
 	for i := range fb.res {
 		fb.res[i], fb.sts[i], fb.errs[i] = nil, Stats{}, nil
 	}
@@ -322,24 +323,29 @@ func (se *ShardedEngine) putBuffers(fb *fanBuffers) {
 	//ssvet:casstore pool reset: the fan-out has joined, no CAS racer can hold this buffer
 	fb.shared.bits.Store(0)
 	fb.shared.raises.Store(0)
-	se.buffers.Put(fb)
+	pool.Put(fb)
 }
 
 // gather folds the per-shard outcomes: summed Stats (Elapsed is stamped
 // by the caller over the whole call), the first shard error in shard
-// order, the total result count, and the fan-out latency spread.
+// order, and the total result count.
+func (fb *fanBuffers) gather() (total int, stats Stats, err error) {
+	for i := range fb.sts {
+		addStats(&stats, fb.sts[i])
+		if err == nil && fb.errs[i] != nil {
+			err = fb.errs[i]
+		}
+		total += len(fb.res[i])
+	}
+	return total, stats, err
+}
+
+// gather is the fan-out's fold plus the fleet gauges: the fan-out count
+// and latency spread.
 func (se *ShardedEngine) gather(fb *fanBuffers) (total int, stats Stats, err error) {
 	var minE, maxE time.Duration
 	seen := false
-	for i := range fb.sts {
-		st := &fb.sts[i]
-		stats.ElementsRead += st.ElementsRead
-		stats.ElementsSkipped += st.ElementsSkipped
-		stats.ListTotal += st.ListTotal
-		stats.RandomProbes += st.RandomProbes
-		stats.CandidateScans += st.CandidateScans
-		stats.CandidatesInserted += st.CandidatesInserted
-		stats.Rounds += st.Rounds
+	for _, st := range fb.sts {
 		// Skipped shards report zero Elapsed; the spread gauge measures
 		// the shards that actually ran.
 		if st.Elapsed > 0 {
@@ -351,27 +357,22 @@ func (se *ShardedEngine) gather(fb *fanBuffers) (total int, stats Stats, err err
 			}
 			seen = true
 		}
-		if err == nil && fb.errs[i] != nil {
-			err = fb.errs[i]
-		}
-		total += len(fb.res[i])
 	}
 	se.lastSpread.Store(int64(maxE - minE))
 	se.fanouts.Add(1)
-	return total, stats, err
+	return fb.gather()
 }
 
-// mergeConcat concatenates the per-shard (already remapped) results.
-// When exactly one shard produced results its copied-out slice is
+// concatResults concatenates per-shard results holding total entries.
+// When exactly one shard produced results its caller-owned slice is
 // returned directly — the common case for selective queries, and the
 // whole story for K=1.
-func (se *ShardedEngine) mergeConcat(fb *fanBuffers, total int) []Result {
+func concatResults(res [][]Result, total int) []Result {
 	if total == 0 {
 		return nil
 	}
-	se.merged.Add(uint64(total))
 	var only []Result
-	for _, r := range fb.res {
+	for _, r := range res {
 		if len(r) == 0 {
 			continue
 		}
@@ -380,7 +381,7 @@ func (se *ShardedEngine) mergeConcat(fb *fanBuffers, total int) []Result {
 			continue
 		}
 		out := make([]Result, 0, total)
-		for _, rr := range fb.res {
+		for _, rr := range res {
 			out = append(out, rr...)
 		}
 		return out
@@ -438,14 +439,9 @@ func (se *ShardedEngine) SelectBatch(queries []Query, tau float64, alg Algorithm
 }
 
 // SelectBatchCtx is SelectBatch under a context, with Engine
-// SelectBatchCtx's cancellation semantics. On a routed fleet the batch
-// is executed in affinity order — queries landing on the same shard set
-// run back to back on one worker (see affinityOrder; disable with
-// Options.NoBatchAffinity) — while the returned slice stays indexed by
-// submission position.
+// SelectBatchCtx's cancellation semantics.
 func (se *ShardedEngine) SelectBatchCtx(ctx context.Context, queries []Query, tau float64, alg Algorithm, opts *Options, workers int) []BatchResult {
-	perm, starts := se.affinityOrder(queries, tau, alg, opts)
-	return runBatch(len(queries), normWorkers(workers), perm, starts, func(qi int) BatchResult {
+	return runBatch(len(queries), normWorkers(workers), func(qi int) BatchResult {
 		res, st, err := se.SelectCtx(ctx, queries[qi], tau, alg, opts)
 		return BatchResult{Results: res, Stats: st, Err: err}
 	})
@@ -456,10 +452,11 @@ func (se *ShardedEngine) SelectBatchCtx(ctx context.Context, queries []Query, ta
 // by an atomic counter: the submitting goroutine claims alongside the
 // workers, so a dispatch always makes progress even when every worker
 // is busy with other dispatches (nested fan-out under a saturated
-// batch never deadlocks), and a lone caller on a 1-shard engine skips
-// the machinery entirely.
+// batch never deadlocks) or has stopped, and a lone caller on a 1-shard
+// engine skips the machinery entirely.
 type executor struct {
 	tasks chan *shardCall
+	quit  chan struct{}
 	pool  sync.Pool
 	wg    sync.WaitGroup
 }
@@ -468,7 +465,7 @@ func newExecutor(workers int) *executor {
 	if workers < 1 {
 		workers = 1
 	}
-	x := &executor{tasks: make(chan *shardCall, workers)}
+	x := &executor{tasks: make(chan *shardCall, workers), quit: make(chan struct{})}
 	x.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go x.worker()
@@ -477,48 +474,47 @@ func newExecutor(workers int) *executor {
 }
 
 // close stops the workers. In-flight dispatches finish (their callers
-// participate); no dispatch may be submitted after close.
+// participate); later dispatches run entirely on their callers.
 func (x *executor) close() {
-	close(x.tasks)
+	close(x.quit)
 	x.wg.Wait()
 }
 
 func (x *executor) worker() {
 	defer x.wg.Done()
-	for call := range x.tasks {
-		call.work()
-		call.release(x)
+	for {
+		select {
+		case call := <-x.tasks:
+			call.work()
+		case <-x.quit:
+			return
+		}
 	}
 }
 
-// shardCall is one fan-out dispatch. refs counts the goroutines (and
-// queued channel slots) holding the pointer: the call returns to the
-// pool only when the last holder lets go, so a worker that dequeues a
-// long-finished dispatch can never touch a recycled one.
+// shardCall is one fan-out dispatch. claim packs the shard count (high
+// 32 bits) with the next shard to hand out (low 32 bits), so a single
+// atomic add both claims a shard and tells whether one was left. The
+// submitter pools the call as soon as every shard has run: a worker
+// that later dequeues a stale pointer claims nothing — or, if the call
+// has been reused, legitimately joins the newer dispatch — so recycling
+// never waits on worker scheduling.
 type shardCall struct {
-	run  func(shard int)
-	k    int32
-	next atomic.Int32
-	refs atomic.Int32
-	done sync.WaitGroup
+	run   func(shard int)
+	claim atomic.Uint64
+	done  sync.WaitGroup
 }
 
 // work claims and runs shards until none remain.
 func (c *shardCall) work() {
 	for {
-		i := c.next.Add(1) - 1
-		if i >= c.k {
+		v := c.claim.Add(1) - 1
+		i, k := uint32(v), uint32(v>>32)
+		if i >= k {
 			return
 		}
 		c.run(int(i))
 		c.done.Done()
-	}
-}
-
-func (c *shardCall) release(x *executor) {
-	if c.refs.Add(-1) == 0 {
-		c.run = nil
-		x.pool.Put(c)
 	}
 }
 
@@ -537,28 +533,20 @@ func (x *executor) fan(k int, run func(shard int)) {
 		call = &shardCall{}
 	}
 	call.run = run
-	call.k = int32(k)
-	call.next.Store(0)
-	// Upper bound first — k-1 queue slots plus the caller — so a worker
-	// finishing early can never drive refs to zero while the queue or the
-	// caller still holds the pointer; the unsent surplus is subtracted
-	// after the send loop.
-	call.refs.Store(int32(k))
 	call.done.Add(k)
-	sent := 0
+	// Publishing the claim word opens the dispatch; run and done are
+	// written before it, so every claimant sees them.
+	call.claim.Store(uint64(k) << 32)
 sendLoop:
 	for i := 0; i < k-1; i++ {
 		select {
 		case x.tasks <- call:
-			sent++
 		default:
 			break sendLoop
 		}
 	}
-	if unsent := k - 1 - sent; unsent > 0 {
-		call.refs.Add(int32(-unsent))
-	}
 	call.work()
 	call.done.Wait()
-	call.release(x)
+	call.run = nil
+	x.pool.Put(call)
 }

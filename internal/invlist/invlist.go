@@ -2,9 +2,10 @@
 // §VIII): for every token, a list of (set id, normalized length) postings
 // stored in two sort orders — by ascending id for the multiway-merge
 // baseline, and by ascending length (equivalently, descending per-token
-// contribution wᵢ) for TA/NRA-style algorithms — plus a skip list per
-// weight-sorted list so that Length Boundedness can jump directly to the
-// first entry of a given length.
+// contribution wᵢ) for TA/NRA-style algorithms — plus a skip index per
+// weight-sorted list (one sorted level: the length of every SkipInterval-th
+// posting) so that Length Boundedness can jump directly to the first
+// entry of a given length.
 //
 // Two stores are provided: MemStore keeps the lists in memory; FileStore
 // is the disk-resident binary format (one file, varint-compressed

@@ -218,10 +218,19 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileSeekLenMatchesMem pins the two stores to one skip rule: for
+// every token — lists shorter than one interval included — and for
+// thresholds below the first posting, below the first block head, on
+// and between heads, and past the tail, a seek on either store lands on
+// the same posting with the same (skipped, walked) accounting, and that
+// accounting is the rule's: jump to the last block head below the
+// threshold, then walk. A second, further seek on the same cursor
+// covers landing points at or behind the cursor.
 func TestFileSeekLenMatchesMem(t *testing.T) {
+	const interval = 8
 	c := buildCollection(t, 600, 8)
 	path := filepath.Join(t.TempDir(), "idx.bin")
-	if err := WriteFile(path, c, 8); err != nil {
+	if err := WriteFile(path, c, interval); err != nil {
 		t.Fatal(err)
 	}
 	fs, err := OpenFile(path)
@@ -229,29 +238,71 @@ func TestFileSeekLenMatchesMem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	ms := BuildMem(c, 8)
-	for tok := 0; tok < c.NumTokens(); tok += 3 {
-		tk := tokenize.Token(tok)
-		full := drain(ms.WeightCursor(tk))
-		if len(full) < 5 {
-			continue
+	ms := BuildMem(c, interval)
+	// expect replays the rule on the drained list from position pos.
+	expect := func(full []Posting, pos int, min float64) (skipped, walked int) {
+		if pos >= len(full) || full[pos].Len >= min {
+			return 0, 0
 		}
-		min := full[len(full)/3].Len
-		fc, mc := fs.WeightCursor(tk), ms.WeightCursor(tk)
-		fc.SeekLen(min)
-		mc.SeekLen(min)
-		fgot, mgot := drain(fc), drain(mc)
-		if len(fgot) != len(mgot) {
-			t.Fatalf("token %d: file %d postings, mem %d after seek", tok, len(fgot), len(mgot))
-		}
-		for i := range fgot {
-			if fgot[i] != mgot[i] {
-				t.Fatalf("token %d seek posting %d mismatch", tok, i)
+		land := pos
+		for h := interval; h < len(full); h += interval {
+			if full[h].Len < min && h > land {
+				land = h
 			}
 		}
-		if err := Err(fc); err != nil {
-			t.Fatal(err)
+		for walked = 0; land+walked < len(full) && full[land+walked].Len < min; walked++ {
 		}
+		return land - pos, walked
+	}
+	short, seeks := 0, 0
+	for tok := 0; tok < c.NumTokens(); tok++ {
+		tk := tokenize.Token(tok)
+		full := drain(ms.WeightCursor(tk))
+		if len(full) == 0 {
+			continue
+		}
+		if len(full) <= interval {
+			short++
+		}
+		last := full[len(full)-1].Len
+		mins := []float64{full[0].Len - 1, full[0].Len, full[len(full)/3].Len,
+			(full[0].Len + last) / 2, last, last + 1}
+		if len(full) > interval {
+			mins = append(mins, (full[0].Len+full[interval].Len)/2, full[interval].Len)
+		}
+		for _, min := range mins {
+			for _, then := range []float64{min, (min + last) / 2, last + 1} {
+				fc, mc := fs.WeightCursor(tk), ms.WeightCursor(tk)
+				pos := 0
+				for _, m := range []float64{min, then} {
+					fs1, fw1 := fc.SeekLen(m)
+					ms1, mw1 := mc.SeekLen(m)
+					ws, ww := expect(full, pos, m)
+					if fs1 != ms1 || fw1 != mw1 || ms1 != ws || mw1 != ww {
+						t.Fatalf("token %d (%d postings) from %d SeekLen(%g): file (%d, %d), mem (%d, %d), rule (%d, %d)",
+							tok, len(full), pos, m, fs1, fw1, ms1, mw1, ws, ww)
+					}
+					pos += ws + ww
+					seeks++
+				}
+				fgot, mgot := drain(fc), drain(mc)
+				if len(fgot) != len(mgot) || len(mgot) != len(full)-pos {
+					t.Fatalf("token %d: file %d postings, mem %d, want %d after seeks",
+						tok, len(fgot), len(mgot), len(full)-pos)
+				}
+				for i := range fgot {
+					if fgot[i] != mgot[i] {
+						t.Fatalf("token %d seek posting %d mismatch", tok, i)
+					}
+				}
+				if err := Err(fc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if short == 0 || seeks == 0 {
+		t.Fatalf("corpus exercised %d short lists and %d seeks", short, seeks)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/collection"
-	"repro/internal/skiplist"
 	"repro/internal/tokenize"
 )
 
@@ -14,17 +13,22 @@ import (
 // of list volume.
 const SkipInterval = 64
 
-// skipBytesPerEntry approximates the storage cost of one skip entry
-// (length key + position + amortized tower pointers).
-const skipBytesPerEntry = 24
+// skipBytesPerEntry is the storage cost of one in-memory skip entry: the
+// block head's length. Its position is implied by its index.
+const skipBytesPerEntry = 8
 
 // MemStore keeps all inverted lists in memory. It is safe for concurrent
 // readers once built.
 type MemStore struct {
 	weight [][]Posting // per token, sorted by (Len, ID)
 	byID   [][]Posting // per token, sorted by ID
-	skips  []*skiplist.List[float64, int]
-	sizes  Sizes
+	// heads is each weight list's skip index, one flat level:
+	// heads[t][j] = weight[t][(j+1)·interval].Len. The first head sits
+	// one interval in — a skip entry at position 0 can never shorten a
+	// seek, and for the many short lists it would dominate the index.
+	heads    [][]float64
+	interval int
+	sizes    Sizes
 }
 
 // BuildMem constructs a MemStore over every token of c. skipInterval ≤ 0
@@ -35,9 +39,10 @@ func BuildMem(c *collection.Collection, skipInterval int) *MemStore {
 	}
 	n := c.NumTokens()
 	st := &MemStore{
-		weight: make([][]Posting, n),
-		byID:   make([][]Posting, n),
-		skips:  make([]*skiplist.List[float64, int], n),
+		weight:   make([][]Posting, n),
+		byID:     make([][]Posting, n),
+		heads:    make([][]float64, n),
+		interval: skipInterval,
 	}
 	c.TokenSets(func(t tokenize.Token, ids []collection.SetID) {
 		ps := make([]Posting, len(ids))
@@ -56,22 +61,16 @@ func BuildMem(c *collection.Collection, skipInterval int) *MemStore {
 		})
 		st.weight[t] = w
 
-		sk := skiplist.New[float64, int](func(a, b float64) bool { return a < b }, int64(t)+1)
-		// The first entry sits one interval in: a skip entry at position
-		// 0 can never shorten a seek, and for the many short lists it
-		// would dominate the index size.
-		for i := skipInterval; i < len(w); i += skipInterval {
-			// On duplicate lengths the last writer wins, storing the
-			// largest indexed position for each length. Seeks use
-			// SeekLT (strictly less than the target), so landing on any
-			// position whose length is below the target is safe — the
-			// list is length-sorted, so nothing ≥ target lies before it.
-			sk.Set(w[i].Len, i)
+		if len(w) > skipInterval {
+			heads := make([]float64, 0, (len(w)-1)/skipInterval)
+			for i := skipInterval; i < len(w); i += skipInterval {
+				heads = append(heads, w[i].Len)
+			}
+			st.heads[t] = heads
 		}
-		st.skips[t] = sk
 		st.sizes.WeightLists += int64(len(w)) * 16
 		st.sizes.IDLists += int64(len(ps)) * 16
-		st.sizes.SkipIndexes += int64(sk.Len()) * skipBytesPerEntry
+		st.sizes.SkipIndexes += int64(len(st.heads[t])) * skipBytesPerEntry
 	})
 	return st
 }
@@ -81,7 +80,7 @@ func (s *MemStore) WeightCursor(t tokenize.Token) Cursor {
 	if int(t) >= len(s.weight) || len(s.weight[t]) == 0 {
 		return Empty()
 	}
-	return &memCursor{list: s.weight[t], skip: s.skips[t]}
+	return &memCursor{list: s.weight[t], heads: s.heads[t], interval: s.interval}
 }
 
 // IDCursor implements Store.
@@ -89,7 +88,7 @@ func (s *MemStore) IDCursor(t tokenize.Token) Cursor {
 	if int(t) >= len(s.byID) || len(s.byID[t]) == 0 {
 		return Empty()
 	}
-	return &memCursor{list: s.byID[t]} // no skip index: not length-sorted
+	return &memCursor{list: s.byID[t]} // interval 0: not length-sorted, no seeks
 }
 
 // WeightCursorReuse implements CursorReuser: when prev is a cursor this
@@ -102,10 +101,10 @@ func (s *MemStore) WeightCursorReuse(t tokenize.Token, prev Cursor) Cursor {
 		return s.WeightCursor(t)
 	}
 	if int(t) >= len(s.weight) || len(s.weight[t]) == 0 {
-		mc.list, mc.skip, mc.pos = nil, nil, 0
+		*mc = memCursor{}
 		return mc
 	}
-	mc.list, mc.skip, mc.pos = s.weight[t], s.skips[t], 0
+	*mc = memCursor{list: s.weight[t], heads: s.heads[t], interval: s.interval}
 	return mc
 }
 
@@ -116,10 +115,10 @@ func (s *MemStore) IDCursorReuse(t tokenize.Token, prev Cursor) Cursor {
 		return s.IDCursor(t)
 	}
 	if int(t) >= len(s.byID) || len(s.byID[t]) == 0 {
-		mc.list, mc.skip, mc.pos = nil, nil, 0
+		*mc = memCursor{}
 		return mc
 	}
-	mc.list, mc.skip, mc.pos = s.byID[t], nil, 0
+	*mc = memCursor{list: s.byID[t]}
 	return mc
 }
 
@@ -138,9 +137,10 @@ func (s *MemStore) Sizes() Sizes { return s.sizes }
 func (s *MemStore) Close() error { return nil }
 
 type memCursor struct {
-	list []Posting
-	skip *skiplist.List[float64, int]
-	pos  int
+	list     []Posting
+	heads    []float64 // the list's skip index (see MemStore.heads)
+	interval int       // skip spacing; 0 on id-sorted lists, where SeekLen is a no-op
+	pos      int
 }
 
 func (c *memCursor) Valid() bool      { return c.pos < len(c.list) }
@@ -154,15 +154,15 @@ func (c *memCursor) Count() int       { return len(c.list) }
 // are skipped without being touched — those are the savings Fig. 9
 // measures.
 func (c *memCursor) SeekLen(min float64) (skipped, walked int) {
-	if c.skip == nil || !c.Valid() || c.list[c.pos].Len >= min {
+	if c.interval == 0 || !c.Valid() || c.list[c.pos].Len >= min {
 		return 0, 0
 	}
 	start := c.pos
-	if _, pos, ok := c.skip.SeekLT(min); ok && pos > c.pos {
-		// w[pos].Len < min and the list is length-sorted, so no posting
-		// with Len ≥ min can precede pos: the jump skips only prunable
-		// entries.
-		c.pos = pos
+	// heads[j-1] is the last block head with Len < min. The list is
+	// length-sorted, so no posting with Len ≥ min precedes its position
+	// j·interval: the jump skips only prunable entries.
+	if j := sort.SearchFloat64s(c.heads, min); j > 0 && j*c.interval > c.pos {
+		c.pos = j * c.interval
 	}
 	skipped = c.pos - start
 	for c.pos < len(c.list) && c.list[c.pos].Len < min {

@@ -3,6 +3,7 @@ package setsim_test
 import (
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,6 +25,16 @@ func durableCorpus(n int, seed int64, alphabet int) []string {
 		out[i] = sb.String()
 	}
 	return out
+}
+
+// pinOneProc runs the rest of the test at GOMAXPROCS 1, the setting
+// testing.AllocsPerRun measures at. sync.Pool keeps a private slot per
+// P, so a warm-up at a higher setting can park pooled scratch on a P
+// the measurement never runs on — which P depends on scheduling, and
+// the stranded objects are reallocated inside the measured runs.
+func pinOneProc(t testing.TB) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // openDurableCorpus builds a compacted durable engine (WAL attached,
@@ -56,6 +67,7 @@ func TestDurableWarmAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
+	pinOneProc(t)
 	corpus := durableCorpus(5000, 3, 8)
 	le := openDurableCorpus(t, corpus, 1)
 	defer le.Close()
@@ -133,6 +145,7 @@ func TestDurableWarmTopKAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
+	pinOneProc(t)
 	corpus := durableCorpus(5000, 3, 8)
 	le := openDurableCorpus(t, corpus, 1)
 	defer le.Close()
@@ -168,6 +181,7 @@ func TestDurableWarmShardedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
+	pinOneProc(t)
 	corpus := durableCorpus(5000, 3, 8)
 	for _, K := range []int{1, 4} {
 		le := openDurableCorpus(t, corpus, K)

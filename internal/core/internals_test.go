@@ -63,6 +63,10 @@ func TestKthBound(t *testing.T) {
 	}
 }
 
+// TestKthBoundRandomized checks the k-th bound against a sort of every
+// id's best score. Scores grow in steps drawn from {0, 0.5, 1}, so offers
+// often tie the heap minimum and ids already held are re-offered at an
+// unchanged score: the edge cases of offer's full-heap early-out.
 func TestKthBoundRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 50; trial++ {
@@ -73,9 +77,17 @@ func TestKthBoundRandomized(t *testing.T) {
 		for op := 0; op < 200; op++ {
 			id := collection.SetID(rng.Intn(20))
 			// Lower bounds only grow in the algorithms; emulate that.
-			s := best[id] + rng.Float64()
+			s := best[id] + 0.5*float64(rng.Intn(3))
 			best[id] = s
 			b.offer(id, s)
+			if len(b.pos) != len(b.ids) {
+				t.Fatalf("trial %d op %d: %d positions for %d heap entries", trial, op, len(b.pos), len(b.ids))
+			}
+			for i, hid := range b.ids {
+				if b.pos[hid] != i {
+					t.Fatalf("trial %d op %d: pos[%d] = %d, want %d", trial, op, hid, b.pos[hid], i)
+				}
+			}
 			// Reference: k-th largest of best values.
 			var vals []float64
 			for _, v := range best {

@@ -13,12 +13,15 @@ import (
 // needed. That uniformity is what makes SF's bookkeeping so cheap (§VI).
 // Candidates live in the scratch slab; the paper's candidate list C and
 // its per-list new arrivals are slices of slab indexes.
+//
+// No id index is needed either: lists and C share the (len, id) order
+// (Order Preservation), so a posting that belongs to an old candidate is
+// exactly the first entry of C the scan has not yet passed.
 type sfCand struct {
-	id      collection.SetID
-	len     float64
-	lower   float64
-	seenCur bool // surfaced in the list currently being scanned
-	dead    bool
+	id    collection.SetID
+	len   float64
+	lower float64
+	dead  bool
 }
 
 // selectSF is Algorithm 3. Lists are processed in decreasing idf order
@@ -48,7 +51,6 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 	}
 
 	s.sf = s.sf[:0]
-	s.tbl.reset()
 	c := s.i0[:0] // sorted by (len, id); the paper's candidate list C
 
 	for i := range lists {
@@ -109,29 +111,28 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 			stats.ElementsRead++
 			l.next()
 
-			if slot := s.tbl.get(p.ID); slot >= 0 {
-				cand := &s.sf[slot]
-				if !cand.dead && !cand.seenCur {
-					cand.lower += l.w(q.Len, p.Len)
-					cand.seenCur = true
-				}
+			// Old candidate: it sits at the merge position, alive (the
+			// sweep drops dead ones; kills here only hit passed ones).
+			// The next posting passes it and tests its viability.
+			if mergePtr < len(c) && s.sf[c[mergePtr]].id == p.ID {
+				s.sf[c[mergePtr]].lower += l.w(q.Len, p.Len)
 				continue
 			}
 			// New candidate: best case is appearing in every remaining
 			// list, Σ_{j≥i} idf²/(len(q)·len) — the λᵢ test of line 9.
+			// A candidate killed at an earlier list j fails it too:
+			// suffix[i] ≤ suffix[j+1], so it is never re-admitted.
 			if sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
-				s.sf = append(s.sf, sfCand{id: p.ID, len: p.Len, lower: l.w(q.Len, p.Len), seenCur: true})
-				slot := int32(len(s.sf) - 1)
-				s.tbl.put(p.ID, slot)
-				news = append(news, slot)
+				s.sf = append(s.sf, sfCand{id: p.ID, len: p.Len, lower: l.w(q.Len, p.Len)})
+				news = append(news, int32(len(s.sf)-1))
 				stats.CandidatesInserted++
 			}
 		}
 
 		// End-of-list sweep (the paper's single candidate scan per
 		// list): resolve candidates the scan never reached, decide
-		// viability with the remaining suffix, merge in the new
-		// arrivals, and reset the seen flags.
+		// viability with the remaining suffix, and merge in the new
+		// arrivals.
 		stats.CandidateScans++
 		merged := s.i2[:0]
 		oi, ni := 0, 0
@@ -156,7 +157,6 @@ func (e *Engine) selectSF(s *queryScratch, cc *canceller, q Query, tau float64, 
 				slot = news[ni]
 				ni++
 			}
-			s.sf[slot].seenCur = false
 			merged = append(merged, slot)
 		}
 		// Rotate the index buffers: merged becomes C; the old C's

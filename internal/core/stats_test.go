@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -214,5 +215,67 @@ func TestAlgorithmString(t *testing.T) {
 	}
 	if len(Algorithms()) != 8 {
 		t.Errorf("Algorithms() = %d entries", len(Algorithms()))
+	}
+}
+
+// TestSFWorkCounters pins Shortest-First's summed work counters, select
+// over a τ grid and top-k over a k grid, on two pipeline corpora (the
+// fixture one and a denser 3-letter one with many candidate kills). The
+// figures were recorded before SF dropped its id hash for the positional
+// candidate lookup. Answer fingerprints alone would not catch a killed
+// candidate being silently re-admitted; CandidatesInserted would.
+func TestSFWorkCounters(t *testing.T) {
+	type work struct{ read, skipped, inserted, scans int }
+	want := map[string]work{
+		"a=6/select/tau=0.5": {53238, 0, 22046, 3657},
+		"a=6/select/tau=0.6": {47149, 40, 16326, 3657},
+		"a=6/select/tau=0.7": {41816, 384, 10900, 3657},
+		"a=6/select/tau=0.8": {36260, 2128, 5998, 3657},
+		"a=6/select/tau=0.9": {28634, 7352, 2381, 3657},
+		"a=6/topk/k=1":       {49796, 0, 21916, 3657},
+		"a=6/topk/k=3":       {61229, 0, 32082, 3657},
+		"a=6/topk/k=10":      {64546, 0, 37083, 3657},
+		"a=6/topk/k=25":      {65367, 0, 40910, 3657},
+		"a=3/select/tau=0.5": {377861, 864, 113460, 3233},
+		"a=3/select/tau=0.6": {354812, 9808, 91778, 3233},
+		"a=3/select/tau=0.7": {302573, 30760, 67034, 3233},
+		"a=3/select/tau=0.8": {217793, 63128, 41058, 3233},
+		"a=3/select/tau=0.9": {114373, 113496, 17038, 3233},
+		"a=3/topk/k=1":       {334065, 0, 108911, 3233},
+		"a=3/topk/k=3":       {364599, 0, 116582, 3233},
+		"a=3/topk/k=10":      {383753, 0, 127729, 3233},
+		"a=3/topk/k=25":      {386645, 0, 134857, 3233},
+	}
+	check := func(key string, run func(q Query) (Stats, error), docs []string, e *Engine) {
+		var got work
+		for _, d := range docs {
+			st, err := run(e.Prepare(d))
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			got.read += st.ElementsRead
+			got.skipped += st.ElementsSkipped
+			got.inserted += st.CandidatesInserted
+			got.scans += st.CandidateScans
+		}
+		if got != want[key] {
+			t.Errorf("%s: {read, skipped, inserted, scans} = %v, want %v", key, got, want[key])
+		}
+	}
+	for _, alphabet := range []int{6, 3} {
+		docs := pipelineDocs(500, 1234, alphabet)
+		e := NewEngine(buildPipelineCollection(docs), Config{SkipInterval: 8})
+		for _, tau := range []float64{0.5, 0.6, 0.7, 0.8, 0.9} {
+			check(fmt.Sprintf("a=%d/select/tau=%g", alphabet, tau), func(q Query) (Stats, error) {
+				_, st, err := e.Select(q, tau, SF, nil)
+				return st, err
+			}, docs, e)
+		}
+		for _, k := range []int{1, 3, 10, 25} {
+			check(fmt.Sprintf("a=%d/topk/k=%d", alphabet, k), func(q Query) (Stats, error) {
+				_, st, err := e.SelectTopK(q, k, SF, nil)
+				return st, err
+			}, docs, e)
+		}
 	}
 }

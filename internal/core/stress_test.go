@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -129,6 +130,21 @@ func TestFileStoreBackedEngine(t *testing.T) {
 				t.Fatalf("%v on FileStore: %v", alg, err)
 			}
 			assertSameResults(t, diskEngine, q, tau, alg, got, want)
+		}
+		// Top-k on the cursor path (FileStore exposes no raw posting
+		// slice) must match the in-memory engine bit for bit.
+		for _, alg := range []Algorithm{SF, INRA} {
+			for _, k := range []int{1, 3, 10, 25} {
+				want, _, err := memEngine.SelectTopK(q, k, alg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := diskEngine.SelectTopK(q, k, alg, nil)
+				if err != nil {
+					t.Fatalf("top-k %v on FileStore: %v", alg, err)
+				}
+				sameResults(t, fmt.Sprintf("top-k %v k=%d on FileStore", alg, k), got, want)
+			}
 		}
 	}
 }

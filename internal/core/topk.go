@@ -189,8 +189,13 @@ func (b *kthBound) siftDown(i int) {
 	}
 }
 
-// offer records candidate id's current lower bound.
+// offer records candidate id's current lower bound. With the heap full,
+// a score at or below the minimum changes nothing: an entry already held
+// scores at least the minimum, and an outsider would not displace it.
 func (b *kthBound) offer(id collection.SetID, score float64) {
+	if len(b.scores) == b.k && score <= b.scores[0] {
+		return
+	}
 	if i, ok := b.pos[id]; ok {
 		if score > b.scores[i] {
 			b.scores[i] = score
@@ -247,7 +252,6 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, o *Optio
 	bound := &s.kth
 	bound.reset(k)
 	s.sf = s.sf[:0]
-	s.tbl.reset()
 	c := s.i0[:0]
 
 	for i := range lists {
@@ -258,6 +262,9 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, o *Optio
 		for lastViable >= 0 && s.sf[c[lastViable]].dead {
 			lastViable--
 		}
+		// µᵢ = min(λᵢ, len(q)/τ) depends on τ alone within a list, and τ
+		// only rises: recompute it when τ does, not per posting.
+		lastTau, mu := -1.0, 0.0
 		for !l.done && l.valid() {
 			if cc.stop() {
 				s.i0, s.i1 = c, news
@@ -265,7 +272,10 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, o *Optio
 			}
 			p := l.posting()
 			tau := liveTau(bound, shared)
-			hi := q.Len / effTau(tau)
+			if tau > lastTau {
+				lastTau = tau
+				mu = min(suffix[i]/(effTau(tau)*q.Len), q.Len/effTau(tau))
+			}
 			for mergePtr < len(c) && sfBefore(&s.sf[c[mergePtr]], p) {
 				cand := &s.sf[c[mergePtr]]
 				mergePtr++
@@ -279,10 +289,6 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, o *Optio
 					}
 				}
 			}
-			mu := suffix[i] / (effTau(tau) * q.Len)
-			if hi < mu {
-				mu = hi
-			}
 			stop := mu
 			if lastViable >= 0 && s.sf[c[lastViable]].len > stop {
 				stop = s.sf[c[lastViable]].len
@@ -292,21 +298,19 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, o *Optio
 			}
 			stats.ElementsRead++
 			l.next()
-			if slot := s.tbl.get(p.ID); slot >= 0 {
-				cand := &s.sf[slot]
-				if !cand.dead && !cand.seenCur {
-					cand.lower += l.w(q.Len, p.Len)
-					cand.seenCur = true
-					offerShared(bound, shared, cand.id, cand.lower)
-				}
+			// Positional lookup as in selectSF. A candidate killed under
+			// an earlier τ stays out: τ only rises.
+			if mergePtr < len(c) && s.sf[c[mergePtr]].id == p.ID {
+				cand := &s.sf[c[mergePtr]]
+				cand.lower += l.w(q.Len, p.Len)
+				offerShared(bound, shared, cand.id, cand.lower)
 				continue
 			}
 			if sim.Meets(suffix[i]/(q.Len*p.Len), tau) {
-				s.sf = append(s.sf, sfCand{id: p.ID, len: p.Len, lower: l.w(q.Len, p.Len), seenCur: true})
-				slot := int32(len(s.sf) - 1)
-				s.tbl.put(p.ID, slot)
-				news = append(news, slot)
-				offerShared(bound, shared, p.ID, s.sf[slot].lower)
+				w := l.w(q.Len, p.Len)
+				s.sf = append(s.sf, sfCand{id: p.ID, len: p.Len, lower: w})
+				news = append(news, int32(len(s.sf)-1))
+				offerShared(bound, shared, p.ID, w)
 				stats.CandidatesInserted++
 			}
 		}
@@ -336,7 +340,6 @@ func (e *Engine) topkSF(s *queryScratch, cc *canceller, q Query, k int, o *Optio
 				slot = news[ni]
 				ni++
 			}
-			s.sf[slot].seenCur = false
 			merged = append(merged, slot)
 		}
 		old := c

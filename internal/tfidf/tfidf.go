@@ -172,11 +172,10 @@ func (x *Index) SelectNaive(counts []tokenize.Count, tau float64) []Result {
 }
 
 type cand struct {
-	id      collection.SetID
-	len     float64
-	lower   float64
-	seenCur bool
-	dead    bool
+	id    collection.SetID
+	len   float64
+	lower float64
+	dead  bool
 }
 
 // SelectSF answers a TF/IDF selection with the Shortest-First strategy
@@ -208,8 +207,7 @@ func (x *Index) SelectSF(counts []tokenize.Count, tau float64) ([]Result, Stats)
 		suffix[i] = suffix[i+1] + toks[i].boost
 	}
 
-	var c []*cand
-	byID := make(map[collection.SetID]*cand)
+	var c []*cand // (len, id) order: an old candidate is met at c[mergePtr]
 
 	for i, qt := range toks {
 		if int(qt.token) >= len(x.lists) {
@@ -252,17 +250,12 @@ func (x *Index) SelectSF(counts []tokenize.Count, tau float64) ([]Result, Stats)
 			}
 			stats.ElementsRead++
 			w := qt.tf * float64(p.TF) * qt.idfSq / (lenQ * p.Len)
-			if cc := byID[p.ID]; cc != nil {
-				if !cc.dead && !cc.seenCur {
-					cc.lower += w
-					cc.seenCur = true
-				}
+			if mergePtr < len(c) && c[mergePtr].id == p.ID {
+				c[mergePtr].lower += w
 				continue
 			}
 			if sim.Meets(suffix[i]/(lenQ*p.Len), tau) {
-				cc := &cand{id: p.ID, len: p.Len, lower: w, seenCur: true}
-				news = append(news, cc)
-				byID[p.ID] = cc
+				news = append(news, &cand{id: p.ID, len: p.Len, lower: w})
 			}
 		}
 
@@ -280,14 +273,12 @@ func (x *Index) SelectSF(counts []tokenize.Count, tau float64) ([]Result, Stats)
 				take = c[oi]
 				oi++
 				if take.dead || !sim.Meets(take.lower+suffix[i+1]/(lenQ*take.len), tau) {
-					delete(byID, take.id)
 					continue
 				}
 			} else {
 				take = news[ni]
 				ni++
 			}
-			take.seenCur = false
 			merged = append(merged, take)
 		}
 		c = merged
